@@ -487,6 +487,10 @@ def bench_hotpath(benchmark, bench_duration_ns):
     assert hammer["comet"]["speedup"] >= 2.0, payload
     assert hammer["abacus"]["speedup"] >= 2.0, payload
     assert rr8["abacus"]["speedup"] >= 1.0, payload
+    # CoMeT's sketch-path rows batch too, so multirank32 -- where the
+    # hammered rows sit below the RAT promotion threshold for most of
+    # each window -- must clear the reference loop.
+    assert multirank["comet"]["speedup"] >= 1.5, payload
     # Sharded gates only where a pool can physically win: with fewer
     # than 4 cores the workers time-slice one or two CPUs and the
     # honest numbers record the loss instead of faking a floor.

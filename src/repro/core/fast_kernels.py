@@ -36,12 +36,21 @@ at a time.  The per-scheme batching arguments:
   across the batch too.
 * **refresh-rate** does all its work at REF ticks; ACTs are pure
   no-ops, so the whole run commits unconditionally.
-* **CoMeT** splits rows into the exact-count RAT and the sketch.  RAT
-  entries batch exactly like TWiCe's (truncate before the first entry
-  that would reach the threshold); any *non*-RAT row must run the
-  sketch's hashed update and threshold test, so the batch truncates at
-  its first occurrence and replays it scalar.  Hammered rows live in
-  the RAT after their first trigger, which is where batching pays.
+* **CoMeT** splits rows into the exact-count RAT and the count-min
+  sketch; membership only changes at a trigger (RAT re-arm, or sketch
+  promotion with its eviction), so within a batch both kinds of row
+  just count.  A RAT row reaches the threshold at its
+  ``(T - count)``-th occurrence.  A sketch-path row's estimate is the
+  minimum of its counters; when the batch's sketch rows land on
+  distinct counters in every hash row, its ``j``-th occurrence
+  estimates ``base + j`` (``base`` the pre-batch minimum), so it
+  promotes at its ``(T - base)``-th occurrence and both kinds cut on one
+  ``needed``/``occurrences`` computation.  When counters collide, a
+  stable sort plus group cumcount per hash row gives each sketch
+  event's running counters, and the batch cuts at the first event
+  whose minimum reaches ``T`` (or the first RAT crossing, if earlier).
+  The committed prefix adds each row's occurrences to its counters (or
+  RAT entry); the triggering ACT replays scalar.
 * **ABACuS** shares one table across banks (``cross_bank = True`` --
   the dispatcher never shards it, but runs it through the vectorized
   cross-bank lane: long same-bank runs use ``commit_run``,
@@ -406,14 +415,14 @@ class FastRefreshRateKernel(_WrappedKernel):
 
 
 class FastCometKernel(_WrappedKernel):
-    """Batched RAT updates; sketch-path rows replay scalar.
+    """Batched RAT and count-min sketch updates.
 
-    Between events every RAT entry sits strictly below the threshold
-    (triggers re-arm to zero), so the batch commits per-row occurrence
-    counts up to (not including) the first event that would reach the
-    threshold -- and truncates at the first occurrence of any row
-    *outside* the RAT, whose hashed sketch update and promotion test
-    run scalar on the real state.
+    RAT rows and sketch-path rows both just count until a trigger, so
+    the batch commits up to (not including) the first ACT that re-arms
+    a RAT entry or promotes a sketch row -- by closed-form ``needed``
+    occurrences while the batch's sketch rows hit distinct counters,
+    by a per-hash-row group cumcount when they collide (see the module
+    notes).  The triggering ACT, with any RAT eviction, replays scalar.
     """
 
     def __init__(self, mitigation: CoMeTMitigation) -> None:
@@ -428,54 +437,69 @@ class FastCometKernel(_WrappedKernel):
     ) -> tuple[int, list[RefreshDirective]]:
         m: CoMeTMitigation = self.mitigation
         rat = m.rat
+        sketch = m.sketch
         extent = len(rows)
-        uniq, first_pos, inverse = np.unique(
-            rows, return_index=True, return_inverse=True
-        )
-        present = np.fromiter(
-            (int(u) in rat for u in uniq),
-            dtype=np.bool_,
-            count=len(uniq),
-        )
-        if not present.all():
-            # A sketch-path row: everything before its first occurrence
-            # is pure RAT arithmetic; the miss itself replays scalar.
-            extent = int(first_pos[~present].min())
-            if extent == 0:
-                return 0, []
-            inverse = inverse[:extent]
+        uniq, inverse = np.unique(rows, return_inverse=True)
+        # RAT count per distinct row; -1 marks a sketch-path row.
         counts = np.fromiter(
-            (rat[int(u)] if present[i] else 0 for i, u in enumerate(uniq)),
+            (rat.get(int(u), -1) for u in uniq),
             dtype=np.int64,
             count=len(uniq),
         )
-        # Invariant: counts < threshold between events; clamp so a
-        # violated invariant truncates instead of mis-indexing.
-        needed = np.maximum(m.threshold - counts, 1)
+        tracked = counts >= 0
+        cold = np.flatnonzero(~tracked)
+        cols = sketch.columns(uniq[cold])
+        hash_rows = np.arange(sketch.depth)[:, None]
+        cells = sketch._table[hash_rows, cols]
         occurrences = np.bincount(inverse, minlength=len(uniq))
-        crossing = occurrences >= needed
-        if crossing.any():
-            first_trigger = extent
-            for u in np.flatnonzero(crossing):
-                positions = np.flatnonzero(inverse == u)
-                event_index = int(positions[int(needed[u]) - 1])
-                if event_index < first_trigger:
-                    first_trigger = event_index
-            extent = first_trigger
-            if extent == 0:
-                return 0, []
-            occurrences = np.bincount(
-                inverse[:extent], minlength=len(uniq)
+        # Invariant: RAT counts < threshold between events; the clamp
+        # makes a violated invariant (or a sketch estimate already at
+        # the threshold) truncate instead of mis-indexing.
+        needed = np.maximum(m.threshold - counts, 1)
+        sorted_cols = np.sort(cols, axis=1)
+        if (sorted_cols[:, 1:] != sorted_cols[:, :-1]).all():
+            needed[cold] = np.maximum(m.threshold - cells.min(axis=0), 1)
+            extent = _first_crossing(inverse, occurrences, needed, extent)
+        else:
+            # Counters collide: sketch rows cut on the scan below.
+            needed[cold] = extent + 1
+            extent = min(
+                _first_crossing(inverse, occurrences, needed, extent),
+                self._sketch_crossing(inverse, tracked, cols, cells, extent),
             )
-        for u in np.flatnonzero(occurrences):
+        if extent == 0:
+            return 0, []
+        if extent < len(rows):
+            occurrences = np.bincount(inverse[:extent], minlength=len(uniq))
+        hits = occurrences[cold]
+        np.add.at(sketch._table, (hash_rows, cols), hits)
+        sketch.observations += int(hits.sum())
+        for u in np.flatnonzero(tracked & (occurrences > 0)):
             rat[int(uniq[u])] += int(occurrences[u])
         self.stats.activations += extent
         return extent, []
+
+    def _sketch_crossing(self, inverse, tracked, cols, cells, extent) -> int:
+        """First event whose running sketch estimate reaches the threshold."""
+        sketch = self.mitigation.sketch
+        events = np.flatnonzero(~tracked[inverse])
+        if not len(events):
+            return extent
+        # Each event's column in ``cols``: its row's rank among the
+        # sketch-path rows.
+        j = (np.cumsum(~tracked) - 1)[inverse[events]]
+        # One stable sort over (hash row, column) keys yields each
+        # event's 1-based occurrence count on its counter, per hash row.
+        keys = cols[:, j] + np.arange(sketch.depth)[:, None] * sketch.width
+        rank = _occurrence_rank(keys.ravel()).reshape(keys.shape)
+        hit = (cells[:, j] + rank).min(axis=0) >= self.mitigation.threshold
+        return int(events[np.argmax(hit)]) if hit.any() else extent
 
     def snapshot(self) -> Any:
         m: CoMeTMitigation = self.mitigation
         return (
             m.sketch._table.copy(),
+            m.sketch.observations,
             dict(m.rat),
             m.current_window,
             copy.copy(m.cstats),
@@ -484,11 +508,46 @@ class FastCometKernel(_WrappedKernel):
 
     def restore(self, state: Any) -> None:
         m: CoMeTMitigation = self.mitigation
-        table, rat, m.current_window, cstats, stats = state
+        table, m.sketch.observations, rat, m.current_window, cstats, (
+            stats
+        ) = state
         m.sketch._table[:] = table
         m.rat = dict(rat)
         m.cstats.__dict__.update(cstats.__dict__)
         self.stats.__dict__.update(stats.__dict__)
+
+
+def _occurrence_rank(keys: np.ndarray) -> np.ndarray:
+    """1-based running count of each element's key up to and including it."""
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    fresh = np.ones(n, dtype=np.bool_)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    group_start = np.maximum.accumulate(np.where(fresh, np.arange(n), 0))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(1, n + 1) - group_start
+    return rank
+
+
+def _first_crossing(
+    inverse: np.ndarray,
+    occurrences: np.ndarray,
+    needed: np.ndarray,
+    extent: int,
+) -> int:
+    """Index of the first event that is its row's ``needed``-th occurrence.
+
+    ``extent`` when no row occurs ``needed`` times.  A stable argsort
+    of the row ids lists each row's event positions in order, so row
+    ``u``'s ``needed``-th occurrence sits at ``start[u] + needed[u] - 1``.
+    """
+    crossing = np.flatnonzero(occurrences >= needed)
+    if not len(crossing):
+        return extent
+    order = np.argsort(inverse, kind="stable")
+    start = np.cumsum(occurrences) - occurrences
+    return int(order[start[crossing] + needed[crossing] - 1].min())
 
 
 class FastAbacusKernel(_WrappedKernel):
@@ -822,12 +881,15 @@ def reference_state(engine: Any) -> dict[str, Any]:
         return {
             # bytes for exact, hashable array comparison
             "sketch": engine.sketch._table.tobytes(),
+            "observations": engine.sketch.observations,
             "rat": dict(engine.rat),
             "window": engine.current_window,
             "resets": engine.cstats.window_resets,
             "sketch_triggers": engine.cstats.sketch_triggers,
             "rat_triggers": engine.cstats.rat_triggers,
             "evictions": engine.cstats.rat_evictions,
+            "insertions": engine.cstats.rat_insertions,
+            "tracked_peak": engine.cstats.tracked_peak,
         }
     if isinstance(engine, AbacusMitigation):
         state = engine.state

@@ -44,6 +44,9 @@ __all__ = [
     "tracker_table_bits",
 ]
 
+#: Hash keys are folded to 31 bits before the universal hash.
+_KEY_MASK = 0x7FFFFFFF
+
 
 class AggressorTracker(Protocol):
     """Stream summary usable as Graphene's tracking substrate.
@@ -258,14 +261,26 @@ class CountMinSketch:
         self.depth = depth
         self._table = np.zeros((depth, width), dtype=np.int64)
         rng = np.random.default_rng(seed)
-        # Universal hashing: (a*x + b) mod p mod width per row.
         self._prime = (1 << 31) - 1
         self._a = rng.integers(1, self._prime, size=depth, dtype=np.int64)
         self._b = rng.integers(0, self._prime, size=depth, dtype=np.int64)
         self.observations = 0
 
+    def columns(self, keys: np.ndarray) -> np.ndarray:
+        """Counter column of each key in every hash row, shape ``(depth, n)``.
+
+        The batched form of :meth:`_indices` for non-negative integer
+        keys below ``2**61 - 1``, where ``hash(key) == key``; ``a*key +
+        b`` stays below ``2**63``, so the int64 arithmetic is exact.
+        """
+        keys = np.asarray(keys, dtype=np.int64) & _KEY_MASK
+        return self._hash(keys[:, None]).T
+
     def _indices(self, item: Hashable) -> np.ndarray:
-        key = hash(item) & 0x7FFFFFFF
+        return self._hash(hash(item) & _KEY_MASK)
+
+    def _hash(self, key):
+        # Universal hashing: (a*x + b) mod p mod width per row.
         return ((self._a * key + self._b) % self._prime) % self.width
 
     def observe(self, item: Hashable) -> int:

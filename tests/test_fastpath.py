@@ -401,6 +401,61 @@ class TestKernelSchemes:
         assert fast.to_dict() == reference.to_dict()
 
 
+class TestCometMultirankVectorCoverage:
+    """CoMeT's sketch path batches on the 32-bank multirank hammer.
+
+    A regression guard on *where* the events go, not on timing: the
+    hammered rows spend most of each window below the promotion
+    threshold, so a kernel that replays sketch-path rows scalar sends
+    nearly every ACT through ``on_activate``.
+    """
+
+    def test_scalar_replays_stay_below_a_tenth_of_acts(self, monkeypatch):
+        import numpy as np
+
+        from repro.core.fast_kernels import FastCometKernel
+
+        # 32 banks (16 x 2 ranks), 32-ACT bursts, 8 bursts per bank,
+        # one ACT per tRC channel-wide.
+        n = 8 * 32 * 32
+        idx = np.arange(n, dtype=np.int64)
+        burst = idx // 32
+        per_bank_index = (burst // 32) * 32 + idx % 32
+        trace = TraceArray(
+            time_ns=idx.astype(np.float64) * DDR4_2400.trc,
+            bank=burst % 32,
+            row=np.where(per_bank_index % 2 == 0, 100, 102),
+        )
+        trh = DEFAULT_SCALE.mitigation_trh
+        kwargs = dict(
+            scheme="comet",
+            workload="multirank32",
+            banks=16,
+            ranks=2,
+            rows_per_bank=512,
+            hammer_threshold=trh,
+        )
+        reference = simulate(
+            trace, _mitigation_factory("comet", trh), fast=False, **kwargs
+        )
+        scalar_calls = 0
+        on_activate = FastCometKernel.on_activate
+
+        def counting(self, row, time_ns):
+            nonlocal scalar_calls
+            scalar_calls += 1
+            return on_activate(self, row, time_ns)
+
+        monkeypatch.setattr(FastCometKernel, "on_activate", counting)
+        fast = simulate(
+            trace, _mitigation_factory("comet", trh), fast=True, **kwargs
+        )
+        assert fast.to_dict() == reference.to_dict()
+        # Promotions and RAT triggers happen, so both paths are live.
+        assert reference.victim_refresh_directives > 0
+        assert scalar_calls <= n // 10, scalar_calls
+
+
 class TestRunnerFallbackNotes:
     """`experiment --fast` job summaries name silent fallbacks."""
 
