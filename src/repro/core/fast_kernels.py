@@ -65,10 +65,19 @@ at a time.  The per-scheme batching arguments:
   uniform-bank groups, an era-skip scan otherwise.  Either way the
   batch truncates before the first event whose increment would land
   the RAC on a trigger multiple, and before any miss
-  (insert/evict/spillover replay scalar).  ABACuS also declares
-  ``ref_transparent``: REF ticks never touch its tracking state, so
-  the banked lane cuts each bank's events at that bank's *own* next
-  auto-refresh instead of the earliest one across banks.
+  (insert/evict/spillover replay scalar).
+
+**REF ticks.**  A kernel declares ``ref_transparent`` when REF never
+touches its tracking state (the wrapped engine keeps
+``MitigationEngine``'s no-op ``_process_refresh_command``): PARA, CBT,
+CoMeT and ABACuS here, and Graphene.  Their vector segments run through
+auto-refresh ticks -- the lane applies each tick's tRFC to the issue
+times and to the bank at commit, never calling the kernel -- and the
+banked lane cuts each bank at that bank's *own* next auto-refresh
+instead of the earliest one across banks.  TWiCe (it prunes at every
+REF) and refresh-rate (it emits an NRR at every REF) do not declare
+it: their segments end before each tick, and a scalar step forwards
+it to them.
 
 ``reference_state(engine)`` produces the comparable table snapshot for
 any kernel-covered scheme; the differential subject
@@ -154,6 +163,9 @@ class FastParaKernel(_WrappedKernel):
     reproducing the success draw, the side draw and edge reflection
     from the identical generator state.
     """
+
+    #: REF never touches the tracking state (see the module notes).
+    ref_transparent = True
 
     def __init__(self, mitigation: PARA) -> None:
         super().__init__(mitigation)
@@ -314,6 +326,9 @@ class FastCbtKernel(_WrappedKernel):
     all of which truncate the batch, so one map serves the whole batch.
     """
 
+    #: REF never touches the tracking state (see the module notes).
+    ref_transparent = True
+
     def __init__(self, mitigation: CBT) -> None:
         super().__init__(mitigation)
 
@@ -424,6 +439,9 @@ class FastCometKernel(_WrappedKernel):
     by a per-hash-row group cumcount when they collide (see the module
     notes).  The triggering ACT, with any RAT eviction, replays scalar.
     """
+
+    #: REF never touches the tracking state (see the module notes).
+    ref_transparent = True
 
     def __init__(self, mitigation: CoMeTMitigation) -> None:
         super().__init__(mitigation)
@@ -564,11 +582,7 @@ class FastAbacusKernel(_WrappedKernel):
 
     cross_bank = True
 
-    #: REF ticks never touch ABACuS tracking state (no
-    #: ``_process_refresh_command`` override), so the banked lane may
-    #: cut each bank's lane at that bank's *own* next auto-refresh
-    #: instead of the earliest REF across all banks -- the tick is
-    #: forwarded by the cut event's scalar replay, as in per-bank lanes.
+    #: REF never touches the tracking state (see the module notes).
     ref_transparent = True
 
     def __init__(self, mitigation: AbacusMitigation) -> None:

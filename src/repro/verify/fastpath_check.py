@@ -12,7 +12,10 @@ once per kernel scheme and compares everything observable:
 * every recorded :class:`~repro.dram.faults.BitFlip`,
 * each bank's final tracking-table state (Misra-Gries table, TWiCe
   entry table, CBT leaf partition, PARA generator state, refresh-rate
-  pointer -- see :func:`repro.core.fast_kernels.reference_state`).
+  pointer -- see :func:`repro.core.fast_kernels.reference_state`),
+* each bank's final DRAM-model state (:func:`bank_model_state`): a
+  vector segment that folds one REF tick too many, or too few, shows
+  there at once instead of only at some later ACT.
 
 PARA is probabilistic but the comparison is still exact: both stacks
 build their engines from the same seeded factory, and the kernel
@@ -35,7 +38,12 @@ from ..dram.timing import DDR4_2400
 from ..workloads.trace import ActEvent
 from .generators import VerifyScale
 
-__all__ = ["KERNEL_SCHEMES", "run_fastpath_check", "fastpath_subject"]
+__all__ = [
+    "KERNEL_SCHEMES",
+    "bank_model_state",
+    "run_fastpath_check",
+    "fastpath_subject",
+]
 
 #: Same DDR4 pacing the mitigation subjects use (one ACT per tRC).
 _PACE_INTERVAL_NS = 45.0
@@ -82,6 +90,26 @@ def _result_dict(controller, device, scheme, banks, rows_per_bank,
         bank_stats=stats,
         timings=DDR4_2400,
     ).to_dict()
+
+
+def bank_model_state(model) -> dict[str, Any]:
+    """One bank's DRAM-model state as a vector commit leaves it.
+
+    The refresh engine's next tick, row pointer and command count, the
+    bank's busy and next-ACT times and open row, and the model clock --
+    everything a segment that folds auto-refresh ticks writes.
+    """
+    refresh = model.refresh_engine
+    bank = model.bank
+    return {
+        "next_ref_ns": refresh.next_time_ns,
+        "ref_pointer": refresh._pointer,
+        "refs_issued": refresh.commands_issued,
+        "busy_until_ns": bank._busy_until_ns,
+        "next_act_ns": bank._next_act_ns,
+        "open_row": bank.open_row,
+        "clock_ns": model._clock_ns,
+    }
 
 
 def _directive_rows(log) -> list[tuple]:
@@ -270,6 +298,18 @@ def _check_scheme(
                         subject, "divergence",
                         f"[{tag}] bank {bank} table state diverged: "
                         f"ref={ref_state!r} fast={fast_state!r}",
+                    )],
+                    None,
+                    stats,
+                )
+            ref_model = bank_model_state(ref_device.bank(bank))
+            fast_model = bank_model_state(fast_device.bank(bank))
+            if ref_model != fast_model:
+                return (
+                    [Violation(
+                        subject, "divergence",
+                        f"[{tag}] bank {bank} DRAM-model state diverged: "
+                        f"ref={ref_model!r} fast={fast_model!r}",
                     )],
                     None,
                     stats,

@@ -456,6 +456,96 @@ class TestCometMultirankVectorCoverage:
         assert scalar_calls <= n // 10, scalar_calls
 
 
+class TestRefTransparentDeclarations:
+    """``ref_transparent`` lets a lane fold REF ticks into vector
+    segments, skipping the kernel's REF callback; a kernel may declare
+    it only when that callback is a no-op."""
+
+    def test_declared_iff_ref_is_a_no_op(self):
+        from repro.core.fastpath import _KERNEL_REGISTRY
+        from repro.mitigations.base import MitigationEngine
+
+        trh = DEFAULT_SCALE.mitigation_trh
+        engines = [
+            _mitigation_factory(scheme, trh)(0, 512)
+            for scheme in KERNEL_SCHEMES
+        ]
+        kernels = [kernel_for(engine) for engine in engines]
+        # Every registered kernel is covered.
+        assert {type(engine) for engine in engines} == set(_KERNEL_REGISTRY)
+        declared = {}
+        for kernel in kernels:
+            if isinstance(kernel, FastGrapheneBank):
+                no_op = all(
+                    kernel.on_refresh_command(t) == []
+                    for t in (0.0, DDR4_2400.trefi, DDR4_2400.trefw)
+                )
+            else:
+                no_op = (
+                    type(kernel.mitigation)._process_refresh_command
+                    is MitigationEngine._process_refresh_command
+                )
+            declared[kernel.name] = getattr(kernel, "ref_transparent", False)
+            assert declared[kernel.name] == no_op, kernel.name
+        assert not declared["twice"] and not declared["refresh-rate"]
+
+
+class TestGrapheneMultirankRefFold:
+    """Graphene vector segments run through auto-refresh ticks.
+
+    A regression guard on commit counts, not timing: on a 32-bank
+    hammer a bank's bursts arrive 32 bursts apart, farther than one
+    tREFI, so a lane that cut its segments at every REF tick would
+    commit about once per burst.
+    """
+
+    #: ``commit_run`` calls (empty ones included) on this trace when
+    #: every REF tick ended a segment.
+    CUT_AT_EVERY_REF = 635
+
+    def test_commit_calls_at_most_a_third_of_ref_cut(self, monkeypatch):
+        import numpy as np
+
+        # 32 banks (16 x 2 ranks), 32-ACT bursts, 16 bursts per bank,
+        # one ACT per tRC channel-wide.
+        n = 16 * 32 * 32
+        idx = np.arange(n, dtype=np.int64)
+        burst = idx // 32
+        per_bank_index = (burst // 32) * 32 + idx % 32
+        trace = TraceArray(
+            time_ns=idx.astype(np.float64) * DDR4_2400.trc,
+            bank=burst % 32,
+            row=np.where(per_bank_index % 2 == 0, 100, 102),
+        )
+        trh = 50_000
+        kwargs = dict(
+            scheme="graphene",
+            workload="multirank32",
+            banks=16,
+            ranks=2,
+            rows_per_bank=512,
+            hammer_threshold=trh,
+        )
+        reference = simulate(
+            trace, _mitigation_factory("graphene", trh), fast=False, **kwargs
+        )
+        calls = 0
+        commit_run = FastGrapheneBank.commit_run
+
+        def counting(self, times, rows):
+            nonlocal calls
+            calls += 1
+            return commit_run(self, times, rows)
+
+        monkeypatch.setattr(FastGrapheneBank, "commit_run", counting)
+        fast = simulate(
+            trace, _mitigation_factory("graphene", trh), fast=True, **kwargs
+        )
+        assert fast.to_dict() == reference.to_dict()
+        assert reference.bank_stats.auto_refreshes > 32 * 16
+        assert calls <= self.CUT_AT_EVERY_REF // 3, calls
+
+
 class TestRunnerFallbackNotes:
     """`experiment --fast` job summaries name silent fallbacks."""
 
