@@ -10,7 +10,7 @@ reference by >=2x even at smoke scale; the full-tREFW acceptance bars
 are >=5x for PARA on the single-bank hammer and >=4x for Graphene on
 the 8-bank round-robin interleave.
 
-Three workloads:
+Four workloads:
 
 * ``hammer-double-sided`` -- max-rate double-sided hammer on one bank,
   the tracker's worst case (every ACT a table hit, every tREFI a REF
@@ -36,6 +36,11 @@ Three workloads:
   prices the pool's amortization claim.  Aggregate ACTs/s here is the
   headline throughput number; on a many-core machine the 8-worker
   sharded run is where the >=10M ACTs/s target lives.
+* ``mcf`` -- the Fig. 8 SPEC-like ``mcf`` profile (a ``realistic``
+  trace) on one bank: the miss-heavy opposite of the hammers.  Almost
+  every ACT misses a full tracking table and replays scalar, so the
+  tables' miss path (Graphene's count-bucket eviction, ABACuS's RAC
+  floor bucket) sets the speed rather than the vector commits.
 
 Every run of every variant must produce *identical* serialized
 ``SimulationResult``s -- the bench doubles as a coarse differential
@@ -80,6 +85,7 @@ from repro.core.shard_pool import close_pool, pool_stats
 from repro.dram.timing import DDR4_2400
 from repro.sim.simulator import simulate
 from repro.workloads.columnar import TraceArray, merge_arrays, pace_array
+from repro.workloads.spec_like import REALISTIC_PROFILES, profile_events
 from repro.workloads.trace import ActEvent
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -224,11 +230,21 @@ def _multirank_events(duration_ns: float):
         )
 
 
+def _mcf_trace(duration_ns: float) -> TraceArray:
+    """The SPEC-like ``mcf`` profile on one bank (trace seed 1): a
+    working set far larger than any tracking table, so table misses,
+    evictions and spillover bumps dominate."""
+    return TraceArray.from_events(
+        profile_events(REALISTIC_PROFILES["mcf"], duration_ns, seed=1)
+    )
+
+
 #: workload name -> (trace builder, banks per rank, ranks)
 WORKLOADS = {
     "hammer-double-sided": (_hammer_trace, 1, 1),
     "rr8": (_round_robin_trace, _RR_BANKS, 1),
     "multirank32": (_multirank_trace, _MR_BANKS, _MR_RANKS),
+    "mcf": (_mcf_trace, 1, 1),
 }
 
 
@@ -470,6 +486,7 @@ def bench_hotpath(benchmark, bench_duration_ns):
     hammer = payload["workloads"]["hammer-double-sided"]["schemes"]
     rr8 = payload["workloads"]["rr8"]["schemes"]
     multirank = payload["workloads"]["multirank32"]["schemes"]
+    mcf = payload["workloads"]["mcf"]["schemes"]
     # Smoke-scale gates (full tREFW scale lands near an order of
     # magnitude): the batched Graphene and PARA kernels on the 1-bank
     # hammer, and Graphene across the 8-bank round-robin interleave
@@ -495,6 +512,13 @@ def bench_hotpath(benchmark, bench_duration_ns):
     # segments, so multirank32 is no longer one commit per tREFI.
     assert multirank["graphene"]["speedup"] >= 8.0, payload
     assert multirank["cbt"]["speedup"] >= 6.0, payload
+    # Miss-heavy mcf leaves the vector path almost nothing to batch, so
+    # the fast engine at best matches the reference loop here (smoke
+    # scale measured ~0.9-1.3x for Graphene, ~0.75-1.0x for ABACuS on
+    # a 2-vCPU host).  The floors catch a fast-only miss path slower
+    # than the reference's O(1) count-bucket eviction.
+    assert mcf["graphene"]["speedup"] >= 0.8, payload
+    assert mcf["abacus"]["speedup"] >= 0.7, payload
     # Sharded gates only where a pool can physically win: with fewer
     # than 4 cores the workers time-slice one or two CPUs and the
     # honest numbers record the loss instead of faking a floor.

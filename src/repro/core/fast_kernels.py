@@ -101,7 +101,7 @@ from typing import Any
 
 import numpy as np
 
-from ..mitigations.abacus import AbacusEntry, AbacusMitigation
+from ..mitigations.abacus import AbacusMitigation
 from ..mitigations.base import MitigationEngine, RefreshDirective
 from ..mitigations.cbt import CBT, _Counter
 from ..mitigations.comet import CoMeTMitigation
@@ -598,6 +598,9 @@ class FastAbacusKernel(_WrappedKernel):
         m: AbacusMitigation = self.mitigation
         state = m.state
         entries = state.entries
+        if int(rows[0]) not in entries:
+            # A miss on the first event: nothing to batch (O(1) exit).
+            return 0, []
         bit = 1 << m.bank
         extent = len(rows)
         uniq, first_pos, inverse = np.unique(
@@ -651,17 +654,17 @@ class FastAbacusKernel(_WrappedKernel):
                 inverse[:extent], minlength=len(uniq)
             )
         for u in np.flatnonzero(occurrences):
-            entry = entries[int(uniq[u])]
+            row = int(uniq[u])
+            entry = entries[row]
             k = int(occurrences[u])
             if has_bit[u]:
                 increments = k
             else:
                 increments = k - 1
                 state.stats.sav_sets += 1
-            entry.rac += increments
             if increments:
+                state.bump_rac(row, entry, increments)
                 entry.sav = bit
-                state.stats.rac_increments += increments
             else:
                 entry.sav |= bit
         state.stats.observations += extent
@@ -697,6 +700,8 @@ class FastAbacusKernel(_WrappedKernel):
         m: AbacusMitigation = self.mitigation
         state = m.state
         entries = state.entries
+        if int(rows[0]) not in entries:
+            return 0
         threshold = state.threshold
         extent = len(rows)
         uniq, first_pos, inverse = np.unique(
@@ -723,7 +728,7 @@ class FastAbacusKernel(_WrappedKernel):
             uniq, inverse[:extent], bits, entries, threshold
         )
         cut = extent
-        for positions, _, _, _, trigger in plans:
+        for positions, _, _, _, _, trigger in plans:
             if trigger is not None:
                 cut = min(cut, int(positions[trigger]))
         if cut == 0:
@@ -739,8 +744,9 @@ class FastAbacusKernel(_WrappedKernel):
             )
 
         # Phase 2: apply.
-        for positions, entry, count, last_inc, _ in plans:
-            entry.rac += count
+        for positions, row, entry, count, last_inc, _ in plans:
+            if count:
+                state.bump_rac(row, entry, count)
             if last_inc == -2:
                 # No increment: the SAV only accumulated bits.
                 entry.sav |= int(np.bitwise_or.reduce(bits[positions]))
@@ -750,13 +756,12 @@ class FastAbacusKernel(_WrappedKernel):
                 entry.sav = int(
                     np.bitwise_or.reduce(bits[positions[last_inc:]])
                 )
-            state.stats.rac_increments += count
             state.stats.sav_sets += len(positions) - count
         state.stats.observations += extent
         return extent
 
     def _group_plans(self, uniq, inverse, bits, entries, threshold):
-        """Per row group: positions, entry, increment count, last
+        """Per row group: positions, row, entry, increment count, last
         increment index (group-local, ``-2`` if none) and first trigger
         index (group-local, ``None`` if none)."""
         if not len(inverse):
@@ -770,7 +775,8 @@ class FastAbacusKernel(_WrappedKernel):
         plans = []
         for s, e in zip(starts, ends):
             positions = order[s:e]
-            entry = entries[int(uniq[sorted_inv[s]])]
+            row = int(uniq[sorted_inv[s]])
+            entry = entries[row]
             group_bits = bits[positions]
             rac0 = entry.rac
             n = len(positions)
@@ -788,7 +794,7 @@ class FastAbacusKernel(_WrappedKernel):
                 count, last_inc, trigger = self._scan_mixed(
                     entry.sav, rac0, group_bits, threshold
                 )
-            plans.append((positions, entry, count, last_inc, trigger))
+            plans.append((positions, row, entry, count, last_inc, trigger))
         return plans
 
     @staticmethod
@@ -849,10 +855,7 @@ class FastAbacusKernel(_WrappedKernel):
     def restore(self, snap: Any) -> None:
         state = self.mitigation.state
         tracked, state.spillover, state.current_window, sstats, stats = snap
-        state.entries = {
-            row: AbacusEntry(rac=rac, sav=sav)
-            for row, (rac, sav) in tracked.items()
-        }
+        state.load(tracked)
         state.stats.__dict__.update(sstats.__dict__)
         self.stats.__dict__.update(stats.__dict__)
 

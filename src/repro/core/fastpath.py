@@ -12,9 +12,10 @@ module provides the same semantics in batch form:
   consumes a *prefix* of a pre-validated event run in bulk;
 * a **kernel registry** (:func:`register_kernel` / :func:`kernel_for`)
   mapping mitigation-engine types to kernel factories.  Graphene's
-  kernel lives here (:class:`FastGrapheneBank` over
-  :class:`FastMisraGries`); PARA, TWiCe, CBT and refresh-rate kernels
-  live in :mod:`repro.core.fast_kernels` and are registered lazily;
+  kernel lives here (:class:`FastGrapheneBank`, over the reference's
+  own :class:`~repro.core.misra_gries.MisraGriesTable`); the other
+  schemes' kernels live in :mod:`repro.core.fast_kernels` and are
+  registered lazily;
 * :class:`FastMemoryController` -- consumes a columnar
   :class:`~repro.workloads.columnar.TraceArray`, partitions it into
   **per-bank lanes** (banks are independent between blocking events),
@@ -84,6 +85,7 @@ the measured speedups.
 from __future__ import annotations
 
 import bisect
+import copy
 import heapq
 import itertools
 import logging
@@ -109,10 +111,10 @@ from ..mitigations.graphene import GrapheneMitigation
 from ..telemetry import runtime as _telemetry
 from ..workloads.columnar import TraceArray
 from .graphene import GrapheneStats
+from .misra_gries import MisraGriesTable
 
 __all__ = [
     "FastKernel",
-    "FastMisraGries",
     "FastGrapheneBank",
     "FastMemoryController",
     "register_kernel",
@@ -290,100 +292,8 @@ def kernel_schemes() -> tuple[str, ...]:
     )
 
 
-class FastMisraGries:
-    """Misra-Gries summary over preallocated arrays.
-
-    Scalar :meth:`observe` matches
-    :meth:`repro.core.misra_gries.MisraGriesTable.observe` decision-for-
-    decision, including the smallest-key eviction tie-break (``min``
-    over entries whose count equals the spillover count); the vector
-    path in :meth:`FastGrapheneBank.commit_run` additionally bumps
-    counts of already-tracked rows in bulk.  All counts are exact
-    integers, so "bit-for-bit" here is simply "the same integers".
-    """
-
-    __slots__ = (
-        "capacity",
-        "keys",
-        "counts",
-        "slot_of",
-        "size",
-        "spillover",
-        "observations",
-        "last_evicted",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.keys = np.zeros(capacity, dtype=np.int64)
-        self.counts = np.zeros(capacity, dtype=np.int64)
-        #: row -> slot index; the CAM lookup.
-        self.slot_of: dict[int, int] = {}
-        self.size = 0
-        self.spillover = 0
-        self.observations = 0
-        self.last_evicted: int | None = None
-
-    def observe(self, item: int) -> int | None:
-        """Process one row; mirrors ``MisraGriesTable.observe``."""
-        self.observations += 1
-        slot = self.slot_of.get(item)
-        if slot is not None:
-            new = int(self.counts[slot]) + 1
-            self.counts[slot] = new
-            return new
-        if self.size < self.capacity:
-            slot = self.size
-            self.keys[slot] = item
-            self.counts[slot] = 1
-            self.slot_of[item] = slot
-            self.size += 1
-            return 1
-        spillover = self.spillover
-        candidates = np.flatnonzero(self.counts[: self.size] == spillover)
-        if len(candidates):
-            # Smallest key among replaceable entries -- keys are
-            # distinct, so argmin picks the unique minimum, same as
-            # ``min(replaceable)`` over the reference's bucket set.
-            slot = int(candidates[np.argmin(self.keys[candidates])])
-            evicted = int(self.keys[slot])
-            del self.slot_of[evicted]
-            self.keys[slot] = item
-            self.counts[slot] = spillover + 1
-            self.slot_of[item] = slot
-            self.last_evicted = evicted
-            return spillover + 1
-        self.spillover = spillover + 1
-        return None
-
-    def reset(self) -> None:
-        self.slot_of.clear()
-        self.size = 0
-        self.spillover = 0
-        self.observations = 0
-        self.last_evicted = None
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.slot_of
-
-    def __len__(self) -> int:
-        return self.size
-
-    def estimated_count(self, item: int) -> int:
-        slot = self.slot_of.get(item)
-        return 0 if slot is None else int(self.counts[slot])
-
-    def tracked(self) -> dict[int, int]:
-        """Snapshot identical to ``MisraGriesTable.tracked()``."""
-        return {
-            int(self.keys[i]): int(self.counts[i]) for i in range(self.size)
-        }
-
-
 class FastGrapheneBank:
-    """One bank's Graphene engine over the array kernel.
+    """One bank's Graphene engine over the reference Misra-Gries table.
 
     Replicates the ``MitigationEngine.on_activate`` ->
     ``GrapheneMitigation._process_activation`` ->
@@ -409,7 +319,10 @@ class FastGrapheneBank:
         self.threshold = self.config.tracking_threshold
         self.window_len = self.config.reset_window_ns
         self.blast_radius = self.config.blast_radius
-        self.kernel = FastMisraGries(self.config.num_entries)
+        #: The reference table class itself: scalar replays call its
+        #: ``observe`` (same O(1) count-bucket eviction, same tie-break)
+        #: and vector commits its bulk-hit ``add``.
+        self.kernel = MisraGriesTable(self.config.num_entries)
         self.stats = MitigationStats()
         self.gstats = GrapheneStats()
         self.current_window = 0
@@ -428,7 +341,7 @@ class FastGrapheneBank:
         self.gstats.activations += 1
 
         kernel = self.kernel
-        was_tracked = row in kernel.slot_of
+        was_tracked = row in kernel
         new_count = kernel.observe(row)
         if new_count is None:
             self.gstats.spillover_increments += 1
@@ -492,25 +405,25 @@ class FastGrapheneBank:
         hits) below their next threshold multiple may be batched.  The
         first miss or crossing truncates; that event replays scalar."""
         kernel = self.kernel
-        if int(rows[0]) not in kernel.slot_of:
+        if int(rows[0]) not in kernel:
             # A miss on the first event: nothing to batch (O(1) exit).
             return 0, []
         threshold = self.threshold
         extent = len(rows)
         uniq, inverse = np.unique(rows, return_inverse=True)
-        slots = np.fromiter(
-            (kernel.slot_of.get(int(u), -1) for u in uniq),
+        # Tracked counts start at 1, so 0 marks an untracked row.
+        base = np.fromiter(
+            map(kernel.estimated_count, uniq.tolist()),
             dtype=np.int64,
             count=len(uniq),
         )
-        missing = slots < 0
+        missing = base == 0
         if missing.any():
             extent = min(extent, int(np.argmax(missing[inverse])))
             if extent == 0:
                 return 0, []
         inverse = inverse[:extent]
         occurrences = np.bincount(inverse, minlength=len(uniq))
-        base = kernel.counts[np.where(missing, 0, slots)]
         to_next_multiple = threshold - base % threshold
         crossing = (
             (occurrences >= to_next_multiple) & ~missing & (occurrences > 0)
@@ -529,42 +442,19 @@ class FastGrapheneBank:
             occurrences = np.bincount(inverse, minlength=len(uniq))
 
         bumped = np.flatnonzero(occurrences)
-        # Distinct rows -> distinct slots, so fancy in-place add is safe.
-        kernel.counts[slots[bumped]] += occurrences[bumped]
-        kernel.observations += extent
+        for row, k in zip(uniq[bumped].tolist(), occurrences[bumped].tolist()):
+            kernel.add(row, k)
         self.gstats.activations += extent
         self.gstats.table_hits += extent
         self.stats.activations += extent
         return extent, []
 
     def snapshot(self) -> Any:
-        kernel = self.kernel
-        return (
-            kernel.keys.copy(),
-            kernel.counts.copy(),
-            dict(kernel.slot_of),
-            kernel.size,
-            kernel.spillover,
-            kernel.observations,
-            kernel.last_evicted,
-            self.current_window,
-        )
+        return copy.deepcopy(self.kernel), self.current_window
 
     def restore(self, state: Any) -> None:
-        kernel = self.kernel
-        (
-            keys,
-            counts,
-            slot_of,
-            kernel.size,
-            kernel.spillover,
-            kernel.observations,
-            kernel.last_evicted,
-            self.current_window,
-        ) = state
-        kernel.keys[:] = keys
-        kernel.counts[:] = counts
-        kernel.slot_of = dict(slot_of)
+        table, self.current_window = state
+        self.kernel = copy.deepcopy(table)
 
     # ------------------------------------------------------------------
     # Parity helpers

@@ -23,6 +23,10 @@ executable-style in :mod:`repro.core.guarantees`):
 The implementation keeps an inverted count->keys index so the
 "find an entry whose count equals the spillover count" step is O(1),
 mirroring the single CAM search of the hardware design (Section IV-B).
+The batched fast path (:class:`repro.core.fastpath.FastGrapheneBank`)
+reuses this very table: its scalar replay calls :meth:`observe`, and
+its vector commit bumps pure hits through :meth:`add`, so both engines
+share one eviction rule by construction.
 
 **Determinism contract.**  When several entries are replaceable (their
 estimated counts all equal the spillover count), the algorithm is free
@@ -136,6 +140,25 @@ class MisraGriesTable:
         """Feed a whole iterable through :meth:`observe`."""
         for item in items:
             self.observe(item)
+
+    def add(self, item: Hashable, k: int) -> int:
+        """Bulk hit: ``k`` observations of an already-tracked ``item``.
+
+        Equal to ``k`` calls of :meth:`observe` when each of them is a
+        hit -- a tracked item stays tracked while only hits arrive, so
+        the count just grows by ``k`` and moves bucket once.  The fast
+        path's vector commit calls this once per distinct row.
+
+        Returns:
+            The item's new estimated count.
+
+        Raises:
+            KeyError: ``item`` is not tracked.
+        """
+        current = self._counts[item]
+        self.observations += k
+        self._move(item, current, current + k)
+        return current + k
 
     def reset(self) -> None:
         """Clear the table and spillover count (Graphene's window reset)."""

@@ -21,13 +21,14 @@ Graphene proves per bank, at roughly ``1/banks`` the counter storage.
 
 The table itself is Misra-Gries, like Graphene's (insert at
 ``spillover + 1``, evict the smallest-row entry sitting exactly at the
-spillover floor), but sized against the *rank-wide* ACT budget: every
-ACT in the window adds at most one unit of count mass (a RAC increment
-or a spillover bump), so Lemma 2's ``spillover <= W_total/(N+1)``
-argument transfers with ``W_total = banks x W_bank``.  Out-of-domain
-streams (more ACTs than the configured budget) are still safe: an
-entry inserted already at-or-past the trigger threshold refreshes
-immediately rather than waiting for the next exact multiple.
+spillover floor, found in O(1) through a RAC -> rows index like
+Graphene's count buckets), but sized against the *rank-wide* ACT
+budget: every ACT in the window adds at most one unit of count mass (a
+RAC increment or a spillover bump), so Lemma 2's ``spillover <=
+W_total/(N+1)`` argument transfers with ``W_total = banks x W_bank``.
+Out-of-domain streams (more ACTs than the configured budget) are still
+safe: an entry inserted already at-or-past the trigger threshold
+refreshes immediately rather than waiting for the next exact multiple.
 
 Cross-bank sharing is what makes ABACuS the adversarial example for
 the fast path: one tracking structure fed by every bank breaks the
@@ -105,6 +106,10 @@ class AbacusState:
         self.window_ns = window_ns
         self.num_entries = num_entries
         self.entries: dict[int, AbacusEntry] = {}
+        #: RAC -> rows holding it, kept in step with ``entries`` by
+        #: :meth:`_reindex`: the miss path reads the rows sitting at
+        #: the spillover floor in O(1), like a Count-CAM search.
+        self.by_rac: dict[int, set[int]] = {}
         self.spillover = 0
         self.current_window = 0
         self.registered_banks: list[int] = []
@@ -132,9 +137,8 @@ class AbacusState:
         entry = self.entries.get(row)
         if entry is not None:
             if entry.sav & bit:
-                entry.rac += 1
+                self.bump_rac(row, entry, 1)
                 entry.sav = bit
-                self.stats.rac_increments += 1
                 if entry.rac % self.threshold == 0:
                     self.stats.triggers += 1
                     return True
@@ -144,22 +148,73 @@ class AbacusState:
             return False
         # Misra-Gries miss handling on the shared table.
         if len(self.entries) < self.num_entries:
-            self.entries[row] = AbacusEntry(rac=1, sav=bit)
-            self.stats.insertions += 1
+            self._insert(row, 1, bit)
             return self._insert_trigger(1)
-        replaceable = [
-            r for r, e in self.entries.items() if e.rac == self.spillover
-        ]
+        replaceable = self.by_rac.get(self.spillover)
         if replaceable:
-            del self.entries[min(replaceable)]
+            evicted = min(replaceable)
+            del self.entries[evicted]
+            self._reindex(evicted, self.spillover, None)
             self.stats.evictions += 1
             rac = max(1, self.spillover + 1 - self.insert_offset)
-            self.entries[row] = AbacusEntry(rac=rac, sav=bit)
-            self.stats.insertions += 1
+            self._insert(row, rac, bit)
             return self._insert_trigger(rac)
         self.spillover += 1
         self.stats.spillover_increments += 1
         return False
+
+    def bump_rac(self, row: int, entry: AbacusEntry, increments: int) -> None:
+        """Add ``increments`` to tracked ``row``'s RAC (``entry``).
+
+        The one place a tracked entry's RAC changes, so the RAC index
+        and the ``rac_increments`` tally stay in step with the table.
+        """
+        old = entry.rac
+        entry.rac = old + increments
+        self._reindex(row, old, entry.rac)
+        self.stats.rac_increments += increments
+
+    def _insert(self, row: int, rac: int, sav: int) -> None:
+        self.entries[row] = AbacusEntry(rac=rac, sav=sav)
+        self._reindex(row, None, rac)
+        self.stats.insertions += 1
+
+    def _reindex(self, row: int, old: int | None, new: int | None) -> None:
+        """Move ``row`` between RAC buckets (``None``: not tracked)."""
+        if old is not None:
+            bucket = self.by_rac[old]
+            bucket.discard(row)
+            if not bucket:
+                del self.by_rac[old]
+        if new is not None:
+            self.by_rac.setdefault(new, set()).add(row)
+
+    def load(self, tracked: dict[int, tuple[int, int]]) -> None:
+        """Replace the table with a :meth:`tracked` snapshot."""
+        self.entries = {}
+        self.by_rac = {}
+        for row, (rac, sav) in tracked.items():
+            self.entries[row] = AbacusEntry(rac=rac, sav=sav)
+            self._reindex(row, None, rac)
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError if the table's structure is broken.
+
+        The RAC index must equal one rebuilt from ``entries`` (a stale
+        bucket would evict the wrong row at the next miss), the table
+        must fit its capacity, and no tracked RAC may sit below the
+        spillover floor.
+        """
+        rebuilt: dict[int, set[int]] = {}
+        for row, entry in self.entries.items():
+            rebuilt.setdefault(entry.rac, set()).add(row)
+        assert rebuilt == self.by_rac, "RAC index out of sync with entries"
+        assert len(self.entries) <= self.num_entries, "table over capacity"
+        if self.by_rac:
+            assert self.spillover <= min(self.by_rac), (
+                f"spillover={self.spillover} exceeds the smallest RAC "
+                f"{min(self.by_rac)}"
+            )
 
     def _insert_trigger(self, rac: int) -> bool:
         """Trigger policy for a freshly inserted entry.
@@ -187,6 +242,7 @@ class AbacusState:
                     f"after window {self.current_window}"
                 )
             self.entries.clear()
+            self.by_rac.clear()
             self.spillover = 0
             self.stats.window_resets += 1
             self.current_window = window

@@ -15,7 +15,11 @@ once per kernel scheme and compares everything observable:
   pointer -- see :func:`repro.core.fast_kernels.reference_state`),
 * each bank's final DRAM-model state (:func:`bank_model_state`): a
   vector segment that folds one REF tick too many, or too few, shows
-  there at once instead of only at some later ACT.
+  there at once instead of only at some later ACT;
+* the structural invariants of the two tables whose miss path reads a
+  count index (Graphene's ``MisraGriesTable`` and ABACuS's
+  ``AbacusState``): a stale bucket is an ``invariant`` violation at
+  once, not a wrong eviction at some later miss.
 
 PARA is probabilistic but the comparison is still exact: both stacks
 build their engines from the same seeded factory, and the kernel
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from ..core.fastpath import build_fast_controller_ex
+from ..core.fastpath import FastGrapheneBank, build_fast_controller_ex
 from ..dram.timing import DDR4_2400
 from ..workloads.trace import ActEvent
 from .generators import VerifyScale
@@ -144,7 +148,7 @@ def _check_scheme(
     only when the fast controller refused to build.
     """
     from ..controller.mc import MemoryController
-    from ..core.fast_kernels import reference_state
+    from ..core.fast_kernels import FastAbacusKernel, reference_state
     from ..sim.simulator import build_device
     from ..workloads.columnar import TraceArray
     from .differential import Violation, _mitigation_factory
@@ -232,6 +236,18 @@ def _check_scheme(
 
     for label, fast, fast_device, _ in stacks:
         tag = f"{scheme}{label}"
+        try:
+            for kernel in fast.engines:
+                if isinstance(kernel, FastGrapheneBank):
+                    kernel.kernel.check_invariants()
+                elif isinstance(kernel, FastAbacusKernel):
+                    kernel.mitigation.state.check_invariants()
+        except AssertionError as exc:
+            return (
+                [Violation(subject, "invariant", f"[{tag}] {exc}")],
+                None,
+                stats,
+            )
         fast_result = _result_dict(
             fast, fast_device, scheme, scale.banks, scale.rows_per_bank,
             last_time_ns, duration_ns,

@@ -10,13 +10,13 @@ falls back to the reference loop instead).
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.config import GrapheneConfig
 from repro.core.fastpath import (
     FastGrapheneBank,
-    FastMisraGries,
     build_fast_controller,
     build_fast_controller_ex,
     kernel_for,
@@ -41,49 +41,80 @@ def _adversarial_items(seed: int, n: int, keys: int = 12) -> list[int]:
 
 
 class TestFastMisraGries:
+    """The fast bank's table is the reference ``MisraGriesTable``; its
+    vector commit folds each run of hits on a row into one bulk
+    ``add``.  These pin that fold against one ``observe`` per item."""
+
     @pytest.mark.parametrize("capacity", [1, 2, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lockstep_with_reference_table(self, capacity, seed):
+        """Drive one table the way ``FastGrapheneBank`` does -- every
+        stretch of hits as per-row ``add`` calls, each miss through
+        ``observe`` -- and another one item at a time: counts, bucket
+        index, spillover and eviction choices stay identical."""
         reference = MisraGriesTable(capacity)
-        fast = FastMisraGries(capacity)
-        for step, item in enumerate(_adversarial_items(seed, 2000)):
-            assert fast.observe(item) == reference.observe(item), step
-            assert fast.spillover == reference.spillover, step
-            assert fast.tracked() == reference.tracked(), step
-            assert fast.last_evicted == reference.last_evicted, step
-        assert fast.observations == reference.observations
-        assert len(fast) == len(reference)
+        bulk = MisraGriesTable(capacity)
+        items = _adversarial_items(seed, 2000)
+        step = 0
+        while step < len(items):
+            hits = Counter()
+            while step < len(items) and items[step] in bulk:
+                hits[items[step]] += 1
+                assert reference.observe(items[step]) is not None, step
+                step += 1
+            for item, k in hits.items():
+                assert bulk.add(item, k) == reference.estimated_count(item)
+            if step < len(items):
+                assert bulk.observe(items[step]) == reference.observe(
+                    items[step]
+                ), step
+                step += 1
+            bulk.check_invariants()
+            assert bulk.tracked() == reference.tracked(), step
+            assert bulk.spillover == reference.spillover, step
+            assert bulk.last_evicted == reference.last_evicted, step
+        assert bulk.observations == reference.observations
+        assert len(bulk) == len(reference)
 
     def test_smallest_key_eviction_tie_break(self):
-        """The determinism contract: min() over replaceable keys."""
-        fast = FastMisraGries(3)
+        """Bulk-added counts land in the bucket the miss path searches:
+        a miss at the spillover floor evicts the smallest such key."""
+        table = MisraGriesTable(3)
         for key in (30, 20, 10):
-            fast.observe(key)
-        # All three entries have count 1 == spillover + 1; a miss after
-        # one spillover bump must evict key 10, the smallest.
-        fast.observe(99)  # spillover -> 1 (no entry at count 0)
-        assert fast.spillover == 1
-        result = fast.observe(42)
-        assert result == 2  # carried-over count + 1
-        assert fast.last_evicted == 10
-        assert 10 not in fast and 42 in fast
+            table.observe(key)
+        for key in (30, 20, 10):
+            assert table.add(key, 1) == 2
+        table.check_invariants()
+        table.observe(99)  # spillover -> 1 (no entry at count 0)
+        table.observe(98)  # spillover -> 2, the floor all three sit on
+        assert table.spillover == 2
+        assert table.observe(42) == 3  # carried-over count + 1
+        assert table.last_evicted == 10
+        assert 10 not in table and 42 in table
+        table.check_invariants()
 
     def test_reset_clears_everything(self):
-        fast = FastMisraGries(2)
+        table = MisraGriesTable(2)
         for item in (1, 2, 3, 3):
-            fast.observe(item)
-        fast.reset()
-        assert len(fast) == 0
-        assert fast.spillover == 0
-        assert fast.observations == 0
-        assert fast.tracked() == {}
+            table.observe(item)
+        table.add(3, 4)  # 3 evicted 1 at the spillover floor
+        table.reset()
+        assert len(table) == 0
+        assert table.spillover == 0
+        assert table.observations == 0
+        assert table.tracked() == {}
+        table.check_invariants()
 
     def test_estimated_count(self):
-        fast = FastMisraGries(2)
-        fast.observe(7)
-        fast.observe(7)
-        assert fast.estimated_count(7) == 2
-        assert fast.estimated_count(8) == 0
+        table = MisraGriesTable(2)
+        table.observe(7)
+        assert table.add(7, 3) == 4
+        assert table.estimated_count(7) == 4
+        assert table.observations == 4
+        assert table.estimated_count(8) == 0
+        with pytest.raises(KeyError):
+            table.add(8, 1)  # only tracked rows take bulk hits
+        table.check_invariants()
 
 
 def _mitigation_pair(threshold: int = 1000):
@@ -254,29 +285,65 @@ class TestDifferentialSubject:
         assert stats["acts"] == len(events) * len(KERNEL_SCHEMES)
 
     def test_catches_a_seeded_divergence(self):
-        """The subject must have teeth: perturb the fast kernel's state
-        mid-run and the table-state comparison must flag it."""
+        """The subject must have teeth: make the fast Graphene commit
+        overcount one row once and the comparison must flag it.  The
+        seam is fast-only -- the reference table is untouched."""
         events = generate_stream(
             StreamSpec(generator="random", seed=9, length=200),
             DEFAULT_SCALE,
         )
-        from repro.core import fastpath as fp
+        original = FastGrapheneBank.commit_run
+        corrupted_commits = []
 
-        original = fp.FastMisraGries.observe
+        def overcounting(self, times, rows):
+            consumed, directives = original(self, times, rows)
+            if consumed and not corrupted_commits:
+                self.kernel.add(int(rows[0]), 1)  # one phantom hit
+                corrupted_commits.append(consumed)
+            return consumed, directives
 
-        def corrupted(self, item):
-            result = original(self, item)
-            if self.observations == 10:  # skew one count mid-run
-                self.counts[0] += 1
-            return result
-
-        fp.FastMisraGries.observe = corrupted
+        FastGrapheneBank.commit_run = overcounting
         try:
             violations, _ = run_fastpath_check(events, DEFAULT_SCALE)
         finally:
-            fp.FastMisraGries.observe = original
+            FastGrapheneBank.commit_run = original
+        assert corrupted_commits, "no vector commit to corrupt"
         assert violations, "corrupted kernel state went undetected"
         assert violations[0].kind == "divergence"
+
+    @pytest.mark.parametrize("scheme", ["graphene", "abacus"])
+    def test_flags_a_stale_count_bucket(self, scheme):
+        """A row left behind in a second count bucket changes no result
+        until some miss reads that bucket; the invariant check after
+        each stack flags it at once."""
+        from repro.core.fast_kernels import FastAbacusKernel
+
+        events = generate_stream(
+            StreamSpec(generator="random", seed=9, length=200),
+            DEFAULT_SCALE,
+        )
+        kernel_type = (
+            FastGrapheneBank if scheme == "graphene" else FastAbacusKernel
+        )
+        original = kernel_type.on_activate
+
+        def leave_stale(self, row, time_ns):
+            directives = original(self, row, time_ns)
+            if scheme == "graphene":
+                index = self.kernel._buckets
+            else:
+                index = self.mitigation.state.by_rac
+            index.setdefault(10**9, set()).add(row)
+            return directives
+
+        kernel_type.on_activate = leave_stale
+        try:
+            violations, _ = run_fastpath_check(events, DEFAULT_SCALE)
+        finally:
+            kernel_type.on_activate = original
+        assert violations, "stale count bucket went undetected"
+        assert violations[0].kind == "invariant"
+        assert f"[{scheme}]" in violations[0].detail
 
 
 class TestFastControllerConstruction:
